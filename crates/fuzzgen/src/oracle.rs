@@ -3,10 +3,10 @@
 //! Every generated program is pushed through each redundant path the
 //! pipeline has, and every pair of paths that must agree is checked:
 //!
-//! 1. **transport identity** — direct interpretation, serial bus
-//!    replay, threaded replay and live threaded fan-out must produce
-//!    the same [`RunResult`], the same event stream and the same
-//!    tracer [`Profile`];
+//! 1. **transport identity** — direct interpretation, batch recording
+//!    and bus replay fanned out to two sinks must produce the same
+//!    [`RunResult`], the same event stream and the same tracer
+//!    [`Profile`];
 //! 2. **serialization identity** — `Recording::to_bytes` /
 //!    `from_bytes` round-trips exactly;
 //! 3. **derived baseline** — profiling cycles minus the measured
@@ -35,12 +35,10 @@
 //! 9. **Hydra sanity** — simulated TLS time is bounded below by the
 //!    longest thread plus fixed overheads, thread counts match the
 //!    trace, and zero violations means the restart penalty is inert;
-//! 10. **pipeline closure** — `run_pipeline` in serial-bus and
-//!     threaded-bus modes agrees end to end;
-//! 11. **server closure** — the same program submitted to the `serve`
+//! 10. **server closure** — the same program submitted to the `serve`
 //!     worker pool answers with a report identical to the batch
 //!     pipeline: the server is a transport, never a re-modelling;
-//! 12. **value agreement** — every certified pre-computation slice's
+//! 11. **value agreement** — every certified pre-computation slice's
 //!     predicted per-iteration value (and every claimed dependence
 //!     distance) must match the recorded stream of a full replay: a
 //!     single refuted prediction is an unsoundness in `cfgir::scev`
@@ -56,7 +54,7 @@ use cfgir::{analyze_loop, classify_loop_pairs, Dominators, PairVerdict, ProgramC
 use hydra_sim::{simulate_entry, TlsConfig, TlsTraceCollector};
 use jrpm::annotate::{annotate, AnnotateOptions};
 use jrpm::tier::{run_tiered, TierConfig};
-use jrpm::{run_pipeline, BusConfig, PipelineConfig};
+use jrpm::{run_pipeline, PipelineConfig};
 use serve::{ProfileRequest, Server, ServerConfig};
 use test_tracer::{Profile, TestTracer, TracerConfig};
 use tvm::record::{Event, Recording, RecordingSink};
@@ -89,29 +87,16 @@ fn fail(oracle: &'static str, detail: impl Into<String>) -> Failure {
     }
 }
 
-/// Per-sink bus counters rendered for a failure report. When a
-/// threaded transport diverges, back-pressure (lagged or dropped
-/// batches) is the first hypothesis to confirm or rule out, so the
-/// report carries it inline.
+/// Per-sink bus counters rendered for a failure report, so a
+/// divergence shows at a glance whether both runs saw the same stream.
 fn sink_diag(label: &str, report: &tvm::bus::BusReport) -> String {
     let sinks = report
         .sinks
         .iter()
-        .map(|s| {
-            format!(
-                "{}: events={} batches={} lagged={} dropped={}",
-                s.label, s.events, s.batches, s.lagged_batches, s.dropped_batches
-            )
-        })
+        .map(|s| format!("{}: events={} batches={}", s.label, s.events, s.batches))
         .collect::<Vec<_>>()
         .join("; ");
     format!(" [{label} sinks: {sinks}]")
-}
-
-/// Appends per-sink diagnostics to a transport failure.
-fn with_sinks(mut f: Failure, report: &tvm::bus::BusReport) -> Failure {
-    f.detail.push_str(&sink_diag("bus", report));
-    f
 }
 
 /// Coverage counters for a passing check (CLI statistics).
@@ -236,40 +221,12 @@ pub fn check_program(program: &Program) -> Result<CheckStats, Failure> {
     same_events("serial-replay", &rec, &rec_serial.into_recording())?;
     let profile = tr_serial.into_profile();
 
-    // -- transport 4: threaded replay ---------------------------------
-    let mut rec_thr = RecordingSink::default();
-    let mut tr_thr = TestTracer::with_masks(TracerConfig::default(), masks.iter().copied());
-    let thr_report = TraceBus::new()
-        .channel_depth(2)
-        .sink("recording", &mut rec_thr)
-        .sink("tracer", &mut tr_thr)
-        .replay_threaded(&batches);
-    same_events("threaded-replay", &rec, &rec_thr.into_recording())
-        .map_err(|f| with_sinks(f, &thr_report))?;
-    same_profile("threaded-replay", &profile, &tr_thr.into_profile())
-        .map_err(|f| with_sinks(f, &thr_report))?;
-
-    // -- transport 5: live threaded fan-out ---------------------------
-    let mut rec_live = RecordingSink::default();
-    let mut tr_live = TestTracer::with_masks(TracerConfig::default(), masks.iter().copied());
-    let (run_t, live_report) = TraceBus::new()
-        .channel_depth(2)
-        .sink("recording", &mut rec_live)
-        .sink("tracer", &mut tr_live)
-        .run_threaded(&ann, 64)
-        .map_err(|e| fail("live-threaded", e.to_string()))?;
-    same_run("live-threaded", &run_d, &run_t).map_err(|f| with_sinks(f, &live_report))?;
-    same_events("live-threaded", &rec, &rec_live.into_recording())
-        .map_err(|f| with_sinks(f, &live_report))?;
-    same_profile("live-threaded", &profile, &tr_live.into_profile())
-        .map_err(|f| with_sinks(f, &live_report))?;
-
-    // -- transport 6: byte round-trip ---------------------------------
+    // -- transport 4: byte round-trip ---------------------------------
     let bytes = rec.to_bytes();
     let rt = Recording::from_bytes(&bytes).map_err(|e| fail("roundtrip-bytes", e.to_string()))?;
     same_events("roundtrip-bytes", &rec, &rt)?;
 
-    // -- direct replay into a tracer equals the bus-fed tracers -------
+    // -- direct replay into a tracer equals the bus-fed tracer --------
     let mut tr_direct = TestTracer::with_masks(TracerConfig::default(), masks.iter().copied());
     rec.replay(&mut tr_direct);
     same_profile("tracer-direct", &profile, &tr_direct.into_profile())?;
@@ -293,7 +250,7 @@ pub fn check_program(program: &Program) -> Result<CheckStats, Failure> {
     // -- Hydra simulator sanity invariants ----------------------------
     let tls_entries = check_hydra(program, &cands, &masks)?;
 
-    // -- whole-pipeline closure: serial vs threaded bus ---------------
+    // -- whole-pipeline closure: served vs batch ----------------------
     check_pipeline(program)?;
 
     // -- slice predictions and distance claims vs the replay ----------
@@ -892,37 +849,11 @@ fn check_hydra(
     Ok(coll.entries.len())
 }
 
-/// `run_pipeline` must agree with itself across bus modes.
+/// The profiling server must answer with the batch pipeline's exact
+/// report — served through a worker pool, but never re-modelled.
 fn check_pipeline(program: &Program) -> Result<(), Failure> {
-    let serial = run_pipeline(program, &PipelineConfig::default())
-        .map_err(|e| fail("pipeline", format!("serial pipeline failed: {e}")))?;
-    let threaded_cfg = PipelineConfig {
-        bus: BusConfig {
-            threaded: true,
-            ..BusConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    let threaded = run_pipeline(program, &threaded_cfg)
-        .map_err(|e| fail("pipeline", format!("threaded pipeline failed: {e}")))?;
-    if serial.seq_cycles != threaded.seq_cycles
-        || serial.profile_cycles != threaded.profile_cycles
-        || serial.profile != threaded.profile
-        || format!("{:?}", serial.selection) != format!("{:?}", threaded.selection)
-        || format!("{:?}", serial.actual) != format!("{:?}", threaded.actual)
-    {
-        return Err(fail(
-            "pipeline",
-            format!(
-                "serial-bus and threaded-bus pipeline reports diverged{}{}",
-                sink_diag("serial", &serial.obs.bus),
-                sink_diag("threaded", &threaded.obs.bus)
-            ),
-        ));
-    }
-
-    // the profiling server must answer with the batch pipeline's exact
-    // report — served through a worker pool, but never re-modelled
+    let batch = run_pipeline(program, &PipelineConfig::default())
+        .map_err(|e| fail("pipeline", format!("batch pipeline failed: {e}")))?;
     let server = Server::start(ServerConfig {
         workers: 2,
         queue_depth: 2,
@@ -937,17 +868,17 @@ fn check_pipeline(program: &Program) -> Result<(), Failure> {
     let served = resp
         .report()
         .ok_or_else(|| fail("serve", "pipeline request answered without a report"))?;
-    if serial.seq_cycles != served.seq_cycles
-        || serial.profile_cycles != served.profile_cycles
-        || serial.profile != served.profile
-        || format!("{:?}", serial.selection) != format!("{:?}", served.selection)
-        || format!("{:?}", serial.actual) != format!("{:?}", served.actual)
+    if batch.seq_cycles != served.seq_cycles
+        || batch.profile_cycles != served.profile_cycles
+        || batch.profile != served.profile
+        || format!("{:?}", batch.selection) != format!("{:?}", served.selection)
+        || format!("{:?}", batch.actual) != format!("{:?}", served.actual)
     {
         return Err(fail(
             "serve",
             format!(
                 "server-answered pipeline report diverged from the batch run{}{}",
-                sink_diag("batch", &serial.obs.bus),
+                sink_diag("batch", &batch.obs.bus),
                 sink_diag("served", &served.obs.bus)
             ),
         ));

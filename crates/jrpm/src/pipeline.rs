@@ -39,26 +39,19 @@ use tvm::bus::{BusReport, EventKind, KindCounts, SinkStats};
 use tvm::interp::AnnotationCycles;
 use tvm::isa::LoopId;
 use tvm::program::Program;
-use tvm::{Interp, VmError, DEFAULT_BATCH_CAPACITY, DEFAULT_CHANNEL_DEPTH};
+use tvm::{Interp, VmError, DEFAULT_BATCH_CAPACITY};
 
-/// Trace-bus delivery parameters for a pipeline run.
+/// Trace-bus batching parameters for a pipeline run.
 #[derive(Debug, Clone, Copy)]
 pub struct BusConfig {
     /// Events per [`tvm::bus::EventBatch`].
     pub batch_capacity: usize,
-    /// Bound of each consumer's batch channel (threaded mode).
-    pub channel_depth: usize,
-    /// Drain consumers on their own threads, overlapping analysis
-    /// with interpretation. Output is bit-identical either way.
-    pub threaded: bool,
 }
 
 impl Default for BusConfig {
     fn default() -> BusConfig {
         BusConfig {
             batch_capacity: DEFAULT_BATCH_CAPACITY,
-            channel_depth: DEFAULT_CHANNEL_DEPTH,
-            threaded: false,
         }
     }
 }
@@ -153,8 +146,7 @@ pub struct PipelineObservability {
     pub batches: u64,
     /// Configured events-per-batch capacity.
     pub batch_capacity: usize,
-    /// The profiling stage's bus report (per-sink counters; lag/drop
-    /// counters populate in threaded mode).
+    /// The profiling stage's bus report (totals and per-sink counters).
     pub bus: BusReport,
 }
 
@@ -185,9 +177,7 @@ impl PipelineObservability {
     /// Profiling-stage event throughput (events per wall-clock
     /// second over the record + replay-profile stages).
     pub fn events_per_sec(&self) -> f64 {
-        let nanos = self.stage_nanos("record")
-            + self.stage_nanos("replay-profile")
-            + self.stage_nanos("record+profile");
+        let nanos = self.stage_nanos("record") + self.stage_nanos("replay-profile");
         if nanos == 0 {
             0.0
         } else {
@@ -233,10 +223,7 @@ impl PipelineObservability {
                 events: s.counter(&format!("{p}events")),
                 by_kind: kind_counts(&format!("{p}kind.")),
                 batches: s.counter(&format!("{p}batches")),
-                lagged_batches: s.counter(&format!("{p}lagged_batches")),
-                dropped_batches: s.counter(&format!("{p}dropped_batches")),
                 drain_nanos: s.counter(&format!("{p}drain_nanos")),
-                queue_depth_high_water: s.counter(&format!("{p}queue_depth_high_water")),
             });
         }
         let by_kind = kind_counts("bus.kind.");
@@ -253,7 +240,6 @@ impl PipelineObservability {
                 batch_capacity: s.counter("bus.batch_capacity") as usize,
                 by_kind,
                 sinks,
-                threaded: s.counter("bus.threaded") > 0,
             },
         }
     }
@@ -296,9 +282,6 @@ pub(crate) fn record_bus_report(registry: &Registry, report: &BusReport) {
     registry
         .counter("bus.batch_capacity")
         .record_max(report.batch_capacity as u64);
-    if report.threaded {
-        registry.counter("bus.threaded").record_max(1);
-    }
     for (kind, n) in report.by_kind.iter() {
         if n > 0 {
             registry
@@ -312,17 +295,8 @@ pub(crate) fn record_bus_report(registry: &Registry, report: &BusReport) {
         registry.counter(&format!("{p}events")).add(sink.events);
         registry.counter(&format!("{p}batches")).add(sink.batches);
         registry
-            .counter(&format!("{p}lagged_batches"))
-            .add(sink.lagged_batches);
-        registry
-            .counter(&format!("{p}dropped_batches"))
-            .add(sink.dropped_batches);
-        registry
             .counter(&format!("{p}drain_nanos"))
             .add(sink.drain_nanos);
-        registry
-            .counter(&format!("{p}queue_depth_high_water"))
-            .record_max(sink.queue_depth_high_water);
         for (kind, n) in sink.by_kind.iter() {
             if n > 0 {
                 registry.counter(&format!("{p}kind.{}", kind.name())).add(n);
@@ -822,31 +796,6 @@ mod tests {
         let plain = run_pipeline(&p, &PipelineConfig::default()).unwrap();
         assert_eq!(plain.profile, r.profile);
         assert_eq!(plain.selection.chosen, r.selection.chosen);
-    }
-
-    #[test]
-    fn threaded_bus_mode_is_bit_identical() {
-        let p = parallel_program(150);
-        let direct = run_pipeline(&p, &PipelineConfig::default()).unwrap();
-        let threaded = run_pipeline(
-            &p,
-            &PipelineConfig {
-                bus: BusConfig {
-                    batch_capacity: 64,
-                    channel_depth: 2,
-                    threaded: true,
-                },
-                ..PipelineConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(threaded.seq_cycles, direct.seq_cycles);
-        assert_eq!(threaded.profile_cycles, direct.profile_cycles);
-        assert_eq!(threaded.profile, direct.profile);
-        assert_eq!(threaded.selection.chosen, direct.selection.chosen);
-        assert_eq!(threaded.actual.tls_cycles, direct.actual.tls_cycles);
-        assert!(threaded.obs.bus.threaded);
-        assert_eq!(threaded.obs.bus.sinks[0].dropped_batches, 0);
     }
 
     #[test]

@@ -433,40 +433,25 @@ fn drive_immediate(program: &Program, cfg: &PipelineConfig) -> Result<TieredOutc
     stages.end("annotate", t);
 
     // 3. interpret the annotated program ONCE — execution pass 1 —
-    //    capturing its event stream as batches, and feed TEST from
-    //    the bus. Threaded mode drains the tracer concurrently with
-    //    interpretation; otherwise record fully, then replay.
+    //    capturing its event stream as batches, then feed TEST by
+    //    replaying them through the bus.
     let mut tracer = TestTracer::with_masks(cfg.tracer, candidates.tracked_masks());
     if let Some(tr) = &trace {
         tracer.set_obs(Arc::clone(tr), cfg.obs.sample_every);
     }
     registry.counter("pipeline.interpreter_passes").inc();
-    let prof_run = if cfg.bus.threaded {
-        let t = stages.begin("record+profile");
-        let mut bus = TraceBus::new()
-            .channel_depth(cfg.bus.channel_depth)
-            .sink("test-tracer", &mut tracer);
-        if let Some(tr) = &trace {
-            bus = bus.observe(Arc::clone(tr));
-        }
-        let (run, report) = bus.run_threaded(&annotated, cfg.bus.batch_capacity)?;
-        stages.end("record+profile", t);
-        record_bus_report(&registry, &report);
-        run
-    } else {
-        let t = stages.begin("record");
-        let (run, batches) = record_batches(&annotated, cfg.bus.batch_capacity)?;
-        stages.end("record", t);
-        let t = stages.begin("replay-profile");
-        let mut bus = TraceBus::new().sink("test-tracer", &mut tracer);
-        if let Some(tr) = &trace {
-            bus = bus.observe(Arc::clone(tr));
-        }
-        let report = bus.replay(&batches);
-        stages.end("replay-profile", t);
-        record_bus_report(&registry, &report);
-        run
-    };
+    let t = stages.begin("record");
+    let (prof_run, batches) = record_batches(&annotated, cfg.bus.batch_capacity)?;
+    stages.end("record", t);
+    let t = stages.begin("replay-profile");
+    let mut bus = TraceBus::new().sink("test-tracer", &mut tracer);
+    if let Some(tr) = &trace {
+        bus = bus.observe(Arc::clone(tr));
+    }
+    let report = bus.replay(&batches);
+    stages.end("replay-profile", t);
+    record_bus_report(&registry, &report);
+    drop(batches); // free the recording before the collect pass runs
     let profile = tracer.into_profile();
     record_tracer_profile(&registry, &profile);
 

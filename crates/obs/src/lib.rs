@@ -26,7 +26,7 @@
 //! * `pipeline.stage.<NN>.<name>` — per-stage wall nanoseconds, `NN`
 //!   preserving execution order
 //! * `bus.*`, `bus.kind.<kind>`, `bus.sink.<i>.*` — trace-bus totals,
-//!   per-event-kind counts, and per-sink delivery/lag/drop counters
+//!   per-event-kind counts, and per-sink delivery and drain-time counters
 //! * `tracer.*` — analyzer self-profiling: per-candidate event
 //!   attribution (`tracer.analyzer_events.<loop>`) and structure
 //!   watermarks

@@ -480,7 +480,9 @@ pub fn evaluate_alerts(prev: &Snapshot, cur: &Snapshot, cfg: &AlertConfig) -> Ve
 
     // -- drop rate: lost batches over delivered batches ----------------
     // `.batches` also matches `bus.batches` / `bus.sink.<i>.batches`;
-    // `dropped_batches`/`lagged_batches` end in `_batches` and don't
+    // `dropped_batches` ends in `_batches` and doesn't. The serial
+    // trace bus never drops, so no in-tree producer writes a
+    // `.dropped_batches` counter: the rule reads 0 unless one appears
     let dropped = delta_sum(prev, cur, ".dropped_batches");
     let batches = delta_sum(prev, cur, ".batches");
     let drop_rate = if batches > 0 {

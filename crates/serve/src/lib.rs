@@ -340,6 +340,10 @@ impl Server {
         let sampler = Arc::new(TailSampler::new(cfg.tail));
         let handles = (0..workers)
             .map(|i| {
+                // publish liveness before the thread exists, so a probe
+                // right after `start` returns never sees an unscheduled
+                // shard as dead; the worker clears it on exit
+                registry.gauge(&format!("serve.worker.{i}.alive")).set(1);
                 let rx = Arc::clone(&rx);
                 let shared = WorkerShared {
                     registry: Arc::clone(&registry),
@@ -400,8 +404,9 @@ impl Server {
     }
 
     /// The per-worker counter registry (`serve.worker.<i>.requests`,
-    /// `.events`, `.busy_nanos`, `.panics`, `.lagged_batches`,
-    /// `.dropped_batches`).
+    /// `.events`, `.busy_nanos`, `.panics`) and liveness gauges
+    /// (`serve.worker.<i>.alive`: 1 from [`Server::start`] until the
+    /// worker exits).
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -474,7 +479,6 @@ fn worker_loop(index: usize, rx: &Mutex<Receiver<Job>>, shared: &WorkerShared) {
         ring
     });
     let alive = registry.gauge(&format!("{prefix}.alive"));
-    alive.set(1);
     let queue_depth = registry.gauge("serve.queue.depth");
     loop {
         // hold the lock only while claiming the next job, so shards
@@ -541,14 +545,9 @@ fn worker_loop(index: usize, rx: &Mutex<Receiver<Job>>, shared: &WorkerShared) {
         match &result {
             Ok(resp) => {
                 live::emit(LiveEventKind::RequestEnd, job.id, busy, 0);
-                let (events, lagged, dropped) = response_counters(resp);
-                registry.counter(&format!("{prefix}.events")).add(events);
                 registry
-                    .counter(&format!("{prefix}.lagged_batches"))
-                    .add(lagged);
-                registry
-                    .counter(&format!("{prefix}.dropped_batches"))
-                    .add(dropped);
+                    .counter(&format!("{prefix}.events"))
+                    .add(response_events(resp));
             }
             Err(ServeError::WorkerPanicked { .. }) => {} // already emitted
             Err(_) => live::emit(LiveEventKind::RequestEnd, job.id, busy, 1),
@@ -587,18 +586,13 @@ fn worker_loop(index: usize, rx: &Mutex<Receiver<Job>>, shared: &WorkerShared) {
     live::uninstall();
 }
 
-/// Events analyzed plus per-shard bus lag/drop totals of one response.
-fn response_counters(resp: &ProfileResponse) -> (u64, u64, u64) {
+/// Trace events the TEST tracer analyzed for one response.
+fn response_events(resp: &ProfileResponse) -> u64 {
     match resp {
         ProfileResponse::Pipeline(r) | ProfileResponse::Tiered { report: r, .. } => {
-            let (mut lagged, mut dropped) = (0, 0);
-            for s in &r.obs.bus.sinks {
-                lagged += s.lagged_batches;
-                dropped += s.dropped_batches;
-            }
-            (r.profile.events, lagged, dropped)
+            r.profile.events
         }
-        ProfileResponse::Profile { profile, .. } => (profile.events, 0, 0),
+        ProfileResponse::Profile { profile, .. } => profile.events,
     }
 }
 
@@ -807,5 +801,25 @@ mod tests {
         let snap = server.shutdown().snapshot();
         assert_eq!(snap.counter("serve.worker.0.panics"), 1);
         assert_eq!(snap.counter("serve.worker.0.requests"), 2);
+    }
+
+    #[test]
+    fn every_shard_is_alive_when_start_returns_and_dead_after_shutdown() {
+        const WORKERS: usize = 16;
+        let server = Server::start(ServerConfig {
+            workers: WORKERS,
+            ..ServerConfig::default()
+        });
+        // no sleep: liveness must be published before `start` returns
+        let snap = server.registry().snapshot();
+        for i in 0..WORKERS {
+            let key = format!("serve.worker.{i}.alive");
+            assert_eq!(snap.gauges.get(&key), Some(&1), "{key} at start");
+        }
+        let snap = server.shutdown().snapshot();
+        for i in 0..WORKERS {
+            let key = format!("serve.worker.{i}.alive");
+            assert_eq!(snap.gauges.get(&key), Some(&0), "{key} after shutdown");
+        }
     }
 }
