@@ -552,8 +552,8 @@ pub fn prescreen_rows(size: DataSize) -> Vec<PrescreenRow> {
     rows
 }
 
-/// The pre-screen snapshot as JSON, diffed by the `prescreen-gate`
-/// binary against `results_prescreen_baseline.json`.
+/// The pre-screen snapshot as JSON, diffed by `gate prescreen`
+/// against `results_prescreen_baseline.json`.
 pub fn prescreen_json(rows: &[PrescreenRow]) -> String {
     let mut s = String::from("{\n  \"benchmarks\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -727,8 +727,8 @@ pub fn scev_rows(size: DataSize) -> Vec<ScevRow> {
     rows
 }
 
-/// The scalar-evolution snapshot as JSON, diffed by the `scev-gate`
-/// binary against `results_scev_baseline.json`.
+/// The scalar-evolution snapshot as JSON, diffed by `gate scev`
+/// against `results_scev_baseline.json`.
 pub fn scev_json(rows: &[ScevRow]) -> String {
     let mut s = String::from("{\n  \"benchmarks\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -884,7 +884,7 @@ pub fn rescue_rows(size: DataSize) -> Vec<RescueRow> {
     rows
 }
 
-/// The rescue snapshot as JSON, diffed by the `rescue-gate` binary
+/// The rescue snapshot as JSON, diffed by `gate rescue`
 /// against `results_rescue_baseline.json`.
 pub fn rescue_json(rows: &[RescueRow]) -> String {
     let mut s = String::from("{\n  \"benchmarks\": [\n");
@@ -982,7 +982,7 @@ pub struct TierRow {
 
 /// Computes the online tier-controller outcome for every benchmark.
 /// Interpretation is deterministic, so every field is byte-exact and a
-/// committed snapshot can be diffed by the `tier-gate` binary.
+/// committed snapshot can be diffed by `gate tier`.
 pub fn tier_rows(size: DataSize) -> Vec<TierRow> {
     let cfg = PipelineConfig::default();
     let mut rows = Vec::new();
@@ -1025,7 +1025,7 @@ pub fn tier_rows(size: DataSize) -> Vec<TierRow> {
     rows
 }
 
-/// The tier snapshot as JSON, diffed by the `tier-gate` binary against
+/// The tier snapshot as JSON, diffed by `gate tier` against
 /// `results_tier_baseline.json`. Booleans are written as 0/1 so the
 /// gate diffs every field numerically.
 pub fn tier_json(rows: &[TierRow]) -> String {

@@ -47,8 +47,8 @@
 //!   `d` iterations apart; the replay cross-checks every shared
 //!   address ([`DistanceViolation`] otherwise).
 //!
-//! All three feed [`AgreementReport::sound`], so the `scev-gate` CI
-//! binary fails the build on a single unsound prediction.
+//! All three feed [`AgreementReport::sound`], so the `gate scev` CI
+//! step fails the build on a single unsound prediction.
 
 use crate::annotate::{annotate_mapped, AnnotateOptions};
 use cfgir::extract_candidates;

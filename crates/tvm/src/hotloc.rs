@@ -14,7 +14,7 @@
 //! two bounds-checked array loads, a compare and a conditional
 //! increment per retired instruction — no hashing, no branching on
 //! program structure — so the counting tier stays within the pinned
-//! slowdown bound the `tier-gate` CI binary enforces (TASKPROF is the
+//! slowdown bound the `gate tier` CI step enforces (TASKPROF is the
 //! reference for profiling that must be cheap enough to leave on).
 //!
 //! The hook is threaded through the interpreter as a generic parameter
