@@ -87,14 +87,25 @@ impl StoreTimestampFifo {
 /// come from the line number exactly as the figure's bit slices do;
 /// aliasing between lines that share an index loses the older
 /// timestamp, as in hardware.
+///
+/// Slots are allocated on demand: the backing vector only grows (by
+/// doubling, capped at the table size) to cover the highest slot
+/// recorded so far, and a slot past its end reads as empty. A large
+/// table therefore costs memory in proportion to the line range the
+/// program touches, not to its capacity.
 #[derive(Debug, Clone)]
 pub struct LineTimestampTable {
     mask: u32,
     entries: Vec<Option<(u32, Cycles)>>, // (tag, timestamp)
 }
 
+/// Slots allocated by the first growth of a table (or the whole table,
+/// if smaller): the Figure 4 load table's size, so the paper-default
+/// tables allocate exactly once.
+const MIN_GROWTH: usize = 512;
+
 impl LineTimestampTable {
-    /// Creates a table with `entries` slots.
+    /// Creates a table with `entries` slots. No slot is allocated yet.
     ///
     /// # Panics
     ///
@@ -106,7 +117,7 @@ impl LineTimestampTable {
         );
         LineTimestampTable {
             mask: entries as u32 - 1,
-            entries: vec![None; entries],
+            entries: Vec::new(),
         }
     }
 
@@ -114,8 +125,8 @@ impl LineTimestampTable {
     /// line (tag match).
     pub fn lookup(&self, line: u32) -> Option<Cycles> {
         let idx = (line & self.mask) as usize;
-        match self.entries[idx] {
-            Some((tag, ts)) if tag == line >> self.mask.trailing_ones() => Some(ts),
+        match self.entries.get(idx) {
+            Some(&Some((tag, ts))) if tag == line >> self.mask.trailing_ones() => Some(ts),
             _ => None,
         }
     }
@@ -123,8 +134,8 @@ impl LineTimestampTable {
     /// Records an access timestamp for `line`, evicting any aliasing
     /// entry.
     pub fn record(&mut self, line: u32, now: Cycles) {
-        let idx = (line & self.mask) as usize;
-        self.entries[idx] = Some((line >> self.mask.trailing_ones(), now));
+        let tag = line >> self.mask.trailing_ones();
+        *self.slot_mut(line) = Some((tag, now));
     }
 
     /// Combined lookup-and-record: installs `now` for `line` and
@@ -134,19 +145,34 @@ impl LineTimestampTable {
     /// every heap access.
     #[inline]
     pub fn swap(&mut self, line: u32, now: Cycles) -> Option<Cycles> {
-        let idx = (line & self.mask) as usize;
         let tag = line >> self.mask.trailing_ones();
-        let old = match self.entries[idx] {
+        match self.slot_mut(line).replace((tag, now)) {
             Some((t, ts)) if t == tag => Some(ts),
             _ => None,
-        };
-        self.entries[idx] = Some((tag, now));
-        old
+        }
     }
 
-    /// Clears the table (used between profiling phases).
-    pub fn clear(&mut self) {
-        self.entries.fill(None);
+    /// The slot `line` maps to, growing the backing vector to cover it.
+    #[inline]
+    fn slot_mut(&mut self, line: u32) -> &mut Option<(u32, Cycles)> {
+        let idx = (line & self.mask) as usize;
+        if idx >= self.entries.len() {
+            self.grow_to_cover(idx);
+        }
+        &mut self.entries[idx]
+    }
+
+    /// Resizes the backing vector to the smallest power of two above
+    /// `idx` (at least [`MIN_GROWTH`]), capped at the table size. The
+    /// vector's length is always zero or a power of two, so every
+    /// growth at least doubles it.
+    #[cold]
+    fn grow_to_cover(&mut self, idx: usize) {
+        let len = (idx + 1)
+            .next_power_of_two()
+            .max(MIN_GROWTH)
+            .min(self.mask as usize + 1);
+        self.entries.resize(len, None);
     }
 }
 
@@ -314,6 +340,105 @@ mod tests {
             split.record(line, now);
             assert_eq!(combined.swap(line, now), expected);
             assert_eq!(combined.lookup(line), split.lookup(line));
+        }
+    }
+
+    /// Reference model: the same direct-mapped table with every slot
+    /// allocated up front.
+    struct FullTable {
+        shift: u32,
+        mask: u32,
+        slots: Vec<Option<(u32, Cycles)>>,
+    }
+
+    impl FullTable {
+        fn new(size: usize) -> Self {
+            FullTable {
+                shift: size.trailing_zeros(),
+                mask: size as u32 - 1,
+                slots: vec![None; size],
+            }
+        }
+
+        fn lookup(&self, line: u32) -> Option<Cycles> {
+            match self.slots[(line & self.mask) as usize] {
+                Some((tag, ts)) if tag == line >> self.shift => Some(ts),
+                _ => None,
+            }
+        }
+
+        fn record(&mut self, line: u32, now: Cycles) {
+            self.slots[(line & self.mask) as usize] = Some((line >> self.shift, now));
+        }
+    }
+
+    /// SplitMix64: a seeded stream for the equivalence test.
+    fn next_u64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn line_table_matches_a_fully_allocated_table() {
+        for entries in [1usize, 64, 512, 1 << 20] {
+            let mut t = LineTimestampTable::new(entries);
+            let mut full = FullTable::new(entries);
+            let mut rng = entries as u64;
+            let n = entries as u32;
+            for now in 0..20_000 {
+                let r = next_u64(&mut rng);
+                // the reachable slots widen as the run goes on, so the
+                // table grows through every doubling with live entries
+                // behind it, and ends at the last slot
+                let reach = (now as u32 + 1).saturating_mul(64).min(n);
+                let slot = match r % 4 {
+                    0 => (r >> 8) as u32 % 64.min(n),
+                    1 => reach - 1,
+                    _ => (r >> 8) as u32 % reach,
+                };
+                // lines at and beyond `entries`: aliases with other tags
+                let line = ((r >> 40) as u32 % 4) * n + slot;
+                match (r >> 3) % 3 {
+                    0 => assert_eq!(t.lookup(line), full.lookup(line), "lookup {line}"),
+                    1 => {
+                        t.record(line, now);
+                        full.record(line, now);
+                    }
+                    _ => {
+                        let expected = full.lookup(line);
+                        full.record(line, now);
+                        assert_eq!(t.swap(line, now), expected, "swap {line}");
+                    }
+                }
+            }
+            for line in (0..n.min(4096)).chain([n - 1, n, 2 * n - 1]) {
+                assert_eq!(t.lookup(line), full.lookup(line), "final {line}");
+            }
+        }
+    }
+
+    #[test]
+    fn line_table_allocates_only_the_touched_range() {
+        let mut t = LineTimestampTable::new(1 << 20);
+        assert!(t.entries.is_empty());
+        // lines 0..100, plus the last slot of the first growth so a far
+        // lookup cannot pass by reading a neighbouring allocated slot
+        for line in (0..100).chain([511]) {
+            t.record(line, u64::from(line));
+        }
+        assert!(t.entries.len() <= 512, "{} slots", t.entries.len());
+        assert_eq!(t.lookup(99), Some(99));
+        assert_eq!(t.lookup((1 << 20) - 1), None);
+        assert_eq!(t.lookup(700_000), None);
+        assert!(t.entries.len() <= 512, "lookup grew the table");
+        // the paper-default tables allocate once, to their full size
+        for entries in [64, 512] {
+            let mut t = LineTimestampTable::new(entries);
+            t.record(0, 1);
+            assert_eq!(t.entries.len(), entries);
         }
     }
 

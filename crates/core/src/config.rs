@@ -67,7 +67,9 @@ impl Default for TracerConfig {
 impl TracerConfig {
     /// A configuration with effectively unbounded structures — the
     /// "ideal hardware" used to quantify how much precision the real
-    /// capacities give up (paper §6.2).
+    /// capacities give up (paper §6.2). Its 1M-entry line tables
+    /// allocate slots on demand, so their memory scales with the line
+    /// range a program touches, not with their capacity.
     pub fn unbounded() -> Self {
         TracerConfig {
             n_banks: 64,

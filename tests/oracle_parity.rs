@@ -7,11 +7,13 @@
 //! (FIFO eviction, aliasing), never invent them.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use test_tracer::config::TracerConfig;
 use test_tracer::software::SoftwareTracer;
 use test_tracer::tracer::TestTracer;
 use tvm::isa::{FuncId, LoopId, Pc};
 use tvm::trace::TraceSink;
+use tvm::{LINE_BYTES, LINE_WORDS, WORD_BYTES};
 
 /// A synthetic trace event.
 #[derive(Debug, Clone)]
@@ -31,6 +33,29 @@ fn event_strategy() -> impl Strategy<Value = Ev> {
         (0u16..4).prop_map(Ev::LocalStore),
         Just(Ev::Eoi),
     ]
+}
+
+/// Heap events over a palette of at most 7 lines spread across
+/// `0..1 << 19` (below the unbounded tables' alias limit), so the
+/// tracer's line tables grow through many doublings.
+fn spread_events() -> impl Strategy<Value = Vec<Ev>> {
+    (
+        prop::collection::vec(0u32..1 << 19, 1..8),
+        prop::collection::vec((0u8..3, 0usize..8, 0u32..LINE_WORDS), 1..200),
+    )
+        .prop_map(|(lines, picks)| {
+            picks
+                .into_iter()
+                .map(|(kind, pick, word)| {
+                    let addr = lines[pick % lines.len()] * LINE_BYTES + word * WORD_BYTES;
+                    match kind {
+                        0 => Ev::Load(addr),
+                        1 => Ev::Store(addr),
+                        _ => Ev::Eoi,
+                    }
+                })
+                .collect()
+        })
 }
 
 fn drive(sink: &mut dyn TraceSink, events: &[Ev]) {
@@ -55,31 +80,43 @@ fn drive(sink: &mut dyn TraceSink, events: &[Ev]) {
     sink.loop_exit(l, now + 2);
 }
 
+/// With unbounded capacities the hardware tracer agrees with the
+/// software oracle on every statistic of the driven loop.
+fn assert_unbounded_matches_oracle(events: &[Ev]) -> Result<(), TestCaseError> {
+    let mut hw = TestTracer::new(TracerConfig::unbounded());
+    let mut sw = SoftwareTracer::new();
+    drive(&mut hw, events);
+    drive(&mut sw, events);
+    let hp = hw.into_profile();
+    let sp = sw.into_profile();
+    let h = &hp.stl[&LoopId(0)];
+    let s = &sp.stl[&LoopId(0)];
+    prop_assert_eq!(h.threads, s.threads);
+    prop_assert_eq!(h.entries, s.entries);
+    prop_assert_eq!(h.arcs_t1, s.arcs_t1);
+    prop_assert_eq!(h.arc_len_sum_t1, s.arc_len_sum_t1);
+    prop_assert_eq!(h.arcs_lt, s.arcs_lt);
+    prop_assert_eq!(h.arc_len_sum_lt, s.arc_len_sum_lt);
+    prop_assert_eq!(h.overflow_threads, s.overflow_threads);
+    prop_assert_eq!(h.max_st_lines, s.max_st_lines);
+    prop_assert_eq!(h.max_ld_lines, s.max_ld_lines);
+    prop_assert_eq!(h.cycles, s.cycles);
+    prop_assert_eq!(h.thread_size_sum, s.thread_size_sum);
+    prop_assert_eq!(h.thread_size_sq_sum, s.thread_size_sq_sum);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn unbounded_hardware_matches_the_oracle(events in prop::collection::vec(event_strategy(), 1..200)) {
-        let mut hw = TestTracer::new(TracerConfig::unbounded());
-        let mut sw = SoftwareTracer::new();
-        drive(&mut hw, &events);
-        drive(&mut sw, &events);
-        let hp = hw.into_profile();
-        let sp = sw.into_profile();
-        let h = &hp.stl[&LoopId(0)];
-        let s = &sp.stl[&LoopId(0)];
-        prop_assert_eq!(h.threads, s.threads);
-        prop_assert_eq!(h.entries, s.entries);
-        prop_assert_eq!(h.arcs_t1, s.arcs_t1);
-        prop_assert_eq!(h.arc_len_sum_t1, s.arc_len_sum_t1);
-        prop_assert_eq!(h.arcs_lt, s.arcs_lt);
-        prop_assert_eq!(h.arc_len_sum_lt, s.arc_len_sum_lt);
-        prop_assert_eq!(h.overflow_threads, s.overflow_threads);
-        prop_assert_eq!(h.max_st_lines, s.max_st_lines);
-        prop_assert_eq!(h.max_ld_lines, s.max_ld_lines);
-        prop_assert_eq!(h.cycles, s.cycles);
-        prop_assert_eq!(h.thread_size_sum, s.thread_size_sum);
-        prop_assert_eq!(h.thread_size_sq_sum, s.thread_size_sq_sum);
+        assert_unbounded_matches_oracle(&events)?;
+    }
+
+    #[test]
+    fn unbounded_hardware_matches_the_oracle_on_spread_lines(events in spread_events()) {
+        assert_unbounded_matches_oracle(&events)?;
     }
 
     #[test]
