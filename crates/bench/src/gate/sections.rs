@@ -4,10 +4,8 @@
 
 use super::live::{counting_overhead, fault_window, healthy_window};
 use super::{field as f, total, Against, Cmp, Current, Each, Live, Row, Section, Shape, Suite};
-use crate::tables::{
-    prescreen_json, prescreen_rows, rescue_json, rescue_rows, scev_json, scev_rows, tier_json,
-    tier_rows,
-};
+use crate::render::json;
+use crate::tables::{prescreen_rows, rescue_rows, scev_rows, tier_rows};
 use benchsuite::DataSize::Small;
 use obs::json::Value;
 
@@ -57,7 +55,7 @@ fn stage_shares(bench: &Value, row: &mut Row) {
 const PRESCREEN: Section = Section {
     name: "prescreen",
     args: &["<baseline.json>"],
-    current: Current::Recompute(|| prescreen_json(&prescreen_rows(Small))),
+    current: Current::Recompute(|| json(&prescreen_rows(Small))),
     shape: Shape::Benchmarks,
     derive: None,
     fields: &[("*", Cmp::Exact)],
@@ -74,7 +72,7 @@ const PRESCREEN: Section = Section {
 const RESCUE: Section = Section {
     name: "rescue",
     args: &["<baseline.json>"],
-    current: Current::Recompute(|| rescue_json(&rescue_rows(Small))),
+    current: Current::Recompute(|| json(&rescue_rows(Small))),
     shape: Shape::Benchmarks,
     derive: None,
     fields: &[("*", Cmp::Exact)],
@@ -99,7 +97,7 @@ const RESCUE: Section = Section {
 const TIER: Section = Section {
     name: "tier",
     args: &["<baseline.json>"],
-    current: Current::Recompute(|| tier_json(&tier_rows(Small))),
+    current: Current::Recompute(|| json(&tier_rows(Small))),
     shape: Shape::Benchmarks,
     derive: None,
     fields: &[("*", Cmp::Exact)],
@@ -123,7 +121,7 @@ const TIER: Section = Section {
 const SCEV: Section = Section {
     name: "scev",
     args: &["<baseline.json>", "<prescreen_baseline.json>"],
-    current: Current::Recompute(|| scev_json(&scev_rows(Small))),
+    current: Current::Recompute(|| json(&scev_rows(Small))),
     shape: Shape::Benchmarks,
     derive: None,
     fields: &[("*", Cmp::Exact)],

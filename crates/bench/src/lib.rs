@@ -10,6 +10,7 @@
 pub mod ablation;
 pub mod diag;
 pub mod gate;
+pub mod render;
 pub mod runner;
 pub mod tables;
 

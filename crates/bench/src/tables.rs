@@ -1,6 +1,7 @@
 //! Text renderers for every table and figure of the paper's
 //! evaluation.
 
+use crate::render::{self, envelope, Column, Columns};
 use crate::runner::BenchResult;
 use benchsuite::DataSize;
 use cfgir::{
@@ -11,6 +12,7 @@ use jrpm::agreement::{agreement_report, AgreementReport};
 use jrpm::pipeline::{run_pipeline, PipelineConfig};
 use jrpm::slowdown::software_comparison;
 use jrpm::tier::{run_tiered, LoopTier, TierConfig};
+use obs::json::quote;
 use test_tracer::hwcost::{hydra_budget, CostParams};
 use test_tracer::TracerConfig;
 use tvm::bus::KindCounts;
@@ -485,7 +487,7 @@ pub fn methods(size: DataSize) -> String {
 /// One benchmark's static pre-screen measurements, including the
 /// baseline-vs-points-to pair-classification delta the committed
 /// snapshot tracks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PrescreenRow {
     /// Benchmark name.
     pub name: &'static str,
@@ -521,11 +523,8 @@ pub fn prescreen_rows(size: DataSize) -> Vec<PrescreenRow> {
             loops: cands.total_loops(),
             candidates: cands.candidates.len(),
             demoted: cands.demoted_count(),
-            pairs: 0,
-            baseline_disjoint: 0,
-            disjoint: 0,
-            via_pointsto: 0,
             abstract_objects: cands.pointsto.abstract_objects,
+            ..PrescreenRow::default()
         };
         for c in &cands.candidates {
             let fa = &cands.functions[c.func.0 as usize];
@@ -552,64 +551,38 @@ pub fn prescreen_rows(size: DataSize) -> Vec<PrescreenRow> {
     rows
 }
 
-/// The pre-screen snapshot as JSON, diffed by `gate prescreen`
-/// against `results_prescreen_baseline.json`.
-pub fn prescreen_json(rows: &[PrescreenRow]) -> String {
-    let mut s = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": {}, \"loops\": {}, \"candidates\": {}, \"demoted\": {}, \
-             \"pairs\": {}, \"baseline_disjoint\": {}, \"disjoint\": {}, \
-             \"via_pointsto\": {}, \"abstract_objects\": {}}}{}\n",
-            json_str(r.name),
-            r.loops,
-            r.candidates,
-            r.demoted,
-            r.pairs,
-            r.baseline_disjoint,
-            r.disjoint,
-            r.via_pointsto,
-            r.abstract_objects,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// [`render::json`] of these rows is diffed by `gate prescreen` against
+/// `results_prescreen_baseline.json`.
+impl Columns for PrescreenRow {
+    const COLUMNS: &'static [Column<Self>] = &[
+        Column::both("name", "Benchmark", 14, |r| r.name.into()),
+        Column::both("loops", "loops", 7, |r| r.loops.into()),
+        Column::json("candidates", |r| r.candidates.into()),
+        Column::both("demoted", "demoted", 9, |r| r.demoted.into()),
+        Column::text("traced", 8, |r| (r.candidates - r.demoted).into()),
+        Column::both("pairs", "pairs", 8, |r| r.pairs.into()),
+        Column::both("baseline_disjoint", "disj(PR1)", 11, |r| {
+            r.baseline_disjoint.into()
+        }),
+        Column::both("disjoint", "disj(pt)", 10, |r| r.disjoint.into()),
+        Column::both("via_pointsto", "+pt", 8, |r| r.via_pointsto.into()),
+        Column::json("abstract_objects", |r| r.abstract_objects.into()),
+    ];
 }
 
 /// Static pre-screen summary — per benchmark, how many candidate loops
 /// the memory-dependence analysis proved serial and demoted before any
 /// profiling run, and how many access pairs the points-to sharpening
 /// proved independent beyond the structural alias rules.
-pub fn prescreen(size: DataSize) -> String {
-    let mut s = String::new();
-    s.push_str("Static memory-dependence pre-screen (per benchmark)\n");
-    s.push_str(&format!(
-        "{:<14}{:>7}{:>9}{:>8}{:>8}{:>11}{:>10}{:>8}\n",
-        "Benchmark", "loops", "demoted", "traced", "pairs", "disj(PR1)", "disj(pt)", "+pt"
-    ));
-    let mut total_pruned = 0usize;
-    let mut total_via_pt = 0usize;
-    for r in prescreen_rows(size) {
-        total_pruned += r.demoted;
-        total_via_pt += r.via_pointsto;
-        s.push_str(&format!(
-            "{:<14}{:>7}{:>9}{:>8}{:>8}{:>11}{:>10}{:>8}\n",
-            r.name,
-            r.loops,
-            r.demoted,
-            r.candidates - r.demoted,
-            r.pairs,
-            r.baseline_disjoint,
-            r.disjoint,
-            r.via_pointsto,
-        ));
-    }
-    s.push_str(&format!(
-        "Total candidate loops pruned statically: {total_pruned}\n\
-         Total access pairs proven independent only by points-to: {total_via_pt}\n"
-    ));
-    s
+pub fn prescreen(rows: &[PrescreenRow]) -> String {
+    let pruned: usize = rows.iter().map(|r| r.demoted).sum();
+    let via_pt: usize = rows.iter().map(|r| r.via_pointsto).sum();
+    format!(
+        "Static memory-dependence pre-screen (per benchmark)\n{}\
+         Total candidate loops pruned statically: {pruned}\n\
+         Total access pairs proven independent only by points-to: {via_pt}\n",
+        render::text(rows)
+    )
 }
 
 /// One benchmark's scalar-evolution measurements: how much further the
@@ -617,7 +590,7 @@ pub fn prescreen(size: DataSize) -> String {
 /// the points-to pre-screen, how many certified pre-computation slices
 /// were extracted, and whether the dynamic value-agreement replay
 /// confirmed every claim.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScevRow {
     /// Benchmark name.
     pub name: &'static str,
@@ -672,19 +645,7 @@ pub fn scev_rows(size: DataSize) -> Vec<ScevRow> {
         let pt = cfgir::PointsTo::analyze(&program);
         let mut row = ScevRow {
             name: b.name,
-            pairs: 0,
-            prescreen_disjoint: 0,
-            disjoint: 0,
-            distance_pairs: 0,
-            floored_loops: 0,
-            closed_forms: 0,
-            slices: 0,
-            slices_rejected: 0,
-            slice_checks: 0,
-            slice_violations: 0,
-            distance_checks: 0,
-            distance_violations: 0,
-            sound: false,
+            ..ScevRow::default()
         };
         for c in &cands.candidates {
             let fa = &cands.functions[c.func.0 as usize];
@@ -727,91 +688,52 @@ pub fn scev_rows(size: DataSize) -> Vec<ScevRow> {
     rows
 }
 
-/// The scalar-evolution snapshot as JSON, diffed by `gate scev`
-/// against `results_scev_baseline.json`.
-pub fn scev_json(rows: &[ScevRow]) -> String {
-    let mut s = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": {}, \"pairs\": {}, \"prescreen_disjoint\": {}, \
-             \"disjoint\": {}, \"distance_pairs\": {}, \"floored_loops\": {}, \
-             \"closed_forms\": {}, \"slices\": {}, \"slices_rejected\": {}, \
-             \"slice_checks\": {}, \"slice_violations\": {}, \
-             \"distance_checks\": {}, \"distance_violations\": {}, \"sound\": {}}}{}\n",
-            json_str(r.name),
-            r.pairs,
-            r.prescreen_disjoint,
-            r.disjoint,
-            r.distance_pairs,
-            r.floored_loops,
-            r.closed_forms,
-            r.slices,
-            r.slices_rejected,
-            r.slice_checks,
-            r.slice_violations,
-            r.distance_checks,
-            r.distance_violations,
-            u64::from(r.sound),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// [`render::json`] of these rows is diffed by `gate scev` against
+/// `results_scev_baseline.json`.
+impl Columns for ScevRow {
+    const COLUMNS: &'static [Column<Self>] = &[
+        Column::both("name", "Benchmark", 14, |r| r.name.into()),
+        Column::both("pairs", "pairs", 7, |r| r.pairs.into()),
+        Column::both("prescreen_disjoint", "disj(pt)", 9, |r| {
+            r.prescreen_disjoint.into()
+        }),
+        Column::both("disjoint", "disj(ev)", 9, |r| r.disjoint.into()),
+        Column::both("distance_pairs", "dist", 6, |r| r.distance_pairs.into()),
+        Column::both("floored_loops", "floors", 7, |r| r.floored_loops.into()),
+        Column::both("closed_forms", "closed", 8, |r| r.closed_forms.into()),
+        Column::both("slices", "slc", 5, |r| r.slices.into()),
+        Column::json("slices_rejected", |r| r.slices_rejected.into()),
+        Column::both("slice_checks", "slc-chk", 8, |r| r.slice_checks.into()),
+        Column::json("slice_violations", |r| r.slice_violations.into()),
+        Column::both("distance_checks", "dst-chk", 8, |r| {
+            r.distance_checks.into()
+        }),
+        Column::json("distance_violations", |r| r.distance_violations.into()),
+        Column::both("sound", "sound", 7, |r| r.sound.into()),
+    ];
 }
 
 /// Scalar-evolution summary — per benchmark, how far the distance
 /// vectors sharpen the pre-screen, the certified slice yield, and the
 /// dynamic value-agreement verdict.
-pub fn scev_table(size: DataSize) -> String {
-    let mut s = String::new();
-    s.push_str("Scalar-evolution sharpening and certified slices (per benchmark)\n");
-    s.push_str(&format!(
-        "{:<14}{:>7}{:>9}{:>9}{:>6}{:>7}{:>8}{:>5}{:>8}{:>8}{:>7}\n",
-        "Benchmark",
-        "pairs",
-        "disj(pt)",
-        "disj(ev)",
-        "dist",
-        "floors",
-        "closed",
-        "slc",
-        "slc-chk",
-        "dst-chk",
-        "sound"
-    ));
-    let rows = scev_rows(size);
-    for r in &rows {
-        s.push_str(&format!(
-            "{:<14}{:>7}{:>9}{:>9}{:>6}{:>7}{:>8}{:>5}{:>8}{:>8}{:>7}\n",
-            r.name,
-            r.pairs,
-            r.prescreen_disjoint,
-            r.disjoint,
-            r.distance_pairs,
-            r.floored_loops,
-            r.closed_forms,
-            r.slices,
-            r.slice_checks,
-            r.distance_checks,
-            if r.sound { "yes" } else { "NO" },
-        ));
-    }
+pub fn scev_table(rows: &[ScevRow]) -> String {
     let total_dist: usize = rows.iter().map(|r| r.distance_pairs).sum();
     let total_slices: usize = rows.iter().map(|r| r.slices).sum();
     let all_sound = rows.iter().all(|r| r.sound);
-    s.push_str(&format!(
-        "Distance vectors proven beyond the pre-screen: {total_dist}\n\
+    format!(
+        "Scalar-evolution sharpening and certified slices (per benchmark)\n{}\
+         Distance vectors proven beyond the pre-screen: {total_dist}\n\
          Certified pre-computation slices: {total_slices}\n\
          Value-agreement invariant (every slice/distance claim replayed): {}\n",
+        render::text(rows),
         if all_sound { "HOLDS" } else { "VIOLATED" }
-    ));
-    s
+    )
 }
 
 /// One benchmark's loop-rescue verdicts: what the transform pass
 /// lifted out of the demoted set, what it refused, and whether the
 /// rescued loops then clear dynamic selection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RescueRow {
     /// Benchmark name.
     pub name: &'static str,
@@ -849,11 +771,8 @@ pub fn rescue_rows(size: DataSize) -> Vec<RescueRow> {
             demoted_before: before.demoted_count(),
             demoted_after: cfgir::extract_candidates(&out.program).demoted_count(),
             rescued: out.rescued.len(),
-            reductions: 0,
-            privatizations: 0,
-            distributions: 0,
             rejected: out.rejected.len(),
-            selected_gain: 0,
+            ..RescueRow::default()
         };
         for r in &out.rescued {
             match r.proof.transform {
@@ -884,29 +803,20 @@ pub fn rescue_rows(size: DataSize) -> Vec<RescueRow> {
     rows
 }
 
-/// The rescue snapshot as JSON, diffed by `gate rescue`
-/// against `results_rescue_baseline.json`.
-pub fn rescue_json(rows: &[RescueRow]) -> String {
-    let mut s = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": {}, \"demoted_before\": {}, \"demoted_after\": {}, \
-             \"rescued\": {}, \"reductions\": {}, \"privatizations\": {}, \
-             \"distributions\": {}, \"rejected\": {}, \"selected_gain\": {}}}{}\n",
-            json_str(r.name),
-            r.demoted_before,
-            r.demoted_after,
-            r.rescued,
-            r.reductions,
-            r.privatizations,
-            r.distributions,
-            r.rejected,
-            r.selected_gain,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// [`render::json`] of these rows is diffed by `gate rescue` against
+/// `results_rescue_baseline.json`.
+impl Columns for RescueRow {
+    const COLUMNS: &'static [Column<Self>] = &[
+        Column::both("name", "Benchmark", 14, |r| r.name.into()),
+        Column::both("demoted_before", "demoted", 9, |r| r.demoted_before.into()),
+        Column::both("demoted_after", "after", 9, |r| r.demoted_after.into()),
+        Column::both("rescued", "rescued", 9, |r| r.rescued.into()),
+        Column::both("reductions", "red", 7, |r| r.reductions.into()),
+        Column::both("privatizations", "priv", 7, |r| r.privatizations.into()),
+        Column::both("distributions", "dist", 7, |r| r.distributions.into()),
+        Column::both("rejected", "refused", 9, |r| r.rejected.into()),
+        Column::both("selected_gain", "+selected", 10, |r| r.selected_gain.into()),
+    ];
 }
 
 /// Loop-rescue summary — per benchmark, how many demoted loops the
@@ -914,41 +824,21 @@ pub fn rescue_json(rows: &[RescueRow]) -> String {
 /// privatization, loop distribution) lifted into legal parallel form,
 /// and the headline: how many previously-demoted loops now clear
 /// dynamic selection as profitable STLs.
-pub fn rescue(size: DataSize) -> String {
-    let mut s = String::new();
-    s.push_str("Dependence-driven loop rescue (per benchmark)\n");
-    s.push_str(&format!(
-        "{:<14}{:>9}{:>9}{:>9}{:>7}{:>7}{:>7}{:>9}{:>10}\n",
-        "Benchmark", "demoted", "after", "rescued", "red", "priv", "dist", "refused", "+selected"
-    ));
-    let (mut tot_rescued, mut tot_gain) = (0usize, 0usize);
-    for r in rescue_rows(size) {
-        tot_rescued += r.rescued;
-        tot_gain += r.selected_gain;
-        s.push_str(&format!(
-            "{:<14}{:>9}{:>9}{:>9}{:>7}{:>7}{:>7}{:>9}{:>10}\n",
-            r.name,
-            r.demoted_before,
-            r.demoted_after,
-            r.rescued,
-            r.reductions,
-            r.privatizations,
-            r.distributions,
-            r.rejected,
-            r.selected_gain,
-        ));
-    }
-    s.push_str(&format!(
-        "Loops rescued (verifier-accepted transforms): {tot_rescued}\n\
-         Previously-demoted loops now selected as profitable STLs: {tot_gain}\n"
-    ));
-    s
+pub fn rescue(rows: &[RescueRow]) -> String {
+    let rescued: usize = rows.iter().map(|r| r.rescued).sum();
+    let gain: usize = rows.iter().map(|r| r.selected_gain).sum();
+    format!(
+        "Dependence-driven loop rescue (per benchmark)\n{}\
+         Loops rescued (verifier-accepted transforms): {rescued}\n\
+         Previously-demoted loops now selected as profitable STLs: {gain}\n",
+        render::text(rows)
+    )
 }
 
 /// One benchmark's online tier-controller outcome: how the per-loop
 /// state machines converged and whether the online schedule reproduced
 /// the offline batch selection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TierRow {
     /// Benchmark name.
     pub name: &'static str,
@@ -1001,14 +891,11 @@ pub fn tier_rows(size: DataSize) -> Vec<TierRow> {
             epochs: t.epochs,
             counting_epochs: t.counting_epochs,
             generations: t.generations,
-            selected: 0,
-            demoted_static: 0,
-            demoted_dynamic: 0,
             revisions: t.revisions,
-            flips: 0,
             diags: t.diagnostics.len(),
             terminal: t.all_terminal(),
             matches_offline: t.selected_ids() == offline_sel,
+            ..TierRow::default()
         };
         for l in &t.loops {
             row.flips += l.flips;
@@ -1025,80 +912,41 @@ pub fn tier_rows(size: DataSize) -> Vec<TierRow> {
     rows
 }
 
-/// The tier snapshot as JSON, diffed by `gate tier` against
-/// `results_tier_baseline.json`. Booleans are written as 0/1 so the
-/// gate diffs every field numerically.
-pub fn tier_json(rows: &[TierRow]) -> String {
-    let mut s = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": {}, \"candidates\": {}, \"epochs\": {}, \
-             \"counting_epochs\": {}, \"generations\": {}, \"selected\": {}, \
-             \"demoted_static\": {}, \"demoted_dynamic\": {}, \"revisions\": {}, \
-             \"flips\": {}, \"diags\": {}, \"terminal\": {}, \"matches_offline\": {}}}{}\n",
-            json_str(r.name),
-            r.candidates,
-            r.epochs,
-            r.counting_epochs,
-            r.generations,
-            r.selected,
-            r.demoted_static,
-            r.demoted_dynamic,
-            r.revisions,
-            r.flips,
-            r.diags,
-            u8::from(r.terminal),
-            u8::from(r.matches_offline),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// [`render::json`] of these rows is diffed by `gate tier` against
+/// `results_tier_baseline.json`.
+impl Columns for TierRow {
+    const COLUMNS: &'static [Column<Self>] = &[
+        Column::both("name", "Benchmark", 14, |r| r.name.into()),
+        Column::both("candidates", "cands", 6, |r| r.candidates.into()),
+        Column::both("epochs", "epochs", 8, |r| r.epochs.into()),
+        Column::both("counting_epochs", "count", 7, |r| r.counting_epochs.into()),
+        Column::both("generations", "gens", 6, |r| r.generations.into()),
+        Column::both("selected", "selected", 9, |r| r.selected.into()),
+        Column::both("demoted_static", "dem(st)", 8, |r| r.demoted_static.into()),
+        Column::both("demoted_dynamic", "dem(dy)", 8, |r| {
+            r.demoted_dynamic.into()
+        }),
+        Column::both("revisions", "revis", 7, |r| r.revisions.into()),
+        Column::both("flips", "flips", 7, |r| r.flips.into()),
+        Column::json("diags", |r| r.diags.into()),
+        Column::json("terminal", |r| r.terminal.into()),
+        Column::both("matches_offline", "==offline", 10, |r| {
+            r.matches_offline.into()
+        }),
+    ];
 }
 
 /// Online tier-runtime summary — per benchmark, how many epochs the
 /// per-loop state machines needed to converge, where the loops ended
 /// up, and whether the online schedule reproduced the offline batch.
-pub fn tier(size: DataSize) -> String {
-    let mut s = String::new();
-    s.push_str("Online tiered runtime (per benchmark)\n");
-    s.push_str(&format!(
-        "{:<14}{:>6}{:>8}{:>7}{:>6}{:>9}{:>8}{:>8}{:>7}{:>7}{:>10}\n",
-        "Benchmark",
-        "cands",
-        "epochs",
-        "count",
-        "gens",
-        "selected",
-        "dem(st)",
-        "dem(dy)",
-        "revis",
-        "flips",
-        "==offline"
-    ));
-    let mut all_match = true;
-    for r in tier_rows(size) {
-        all_match &= r.matches_offline && r.terminal;
-        s.push_str(&format!(
-            "{:<14}{:>6}{:>8}{:>7}{:>6}{:>9}{:>8}{:>8}{:>7}{:>7}{:>10}\n",
-            r.name,
-            r.candidates,
-            r.epochs,
-            r.counting_epochs,
-            r.generations,
-            r.selected,
-            r.demoted_static,
-            r.demoted_dynamic,
-            r.revisions,
-            r.flips,
-            if r.matches_offline { "yes" } else { "NO" },
-        ));
-    }
-    s.push_str(&format!(
-        "Online schedule reproduces the offline batch on every benchmark: {}\n",
+pub fn tier(rows: &[TierRow]) -> String {
+    let all_match = rows.iter().all(|r| r.matches_offline && r.terminal);
+    format!(
+        "Online tiered runtime (per benchmark)\n{}\
+         Online schedule reproduces the offline batch on every benchmark: {}\n",
+        render::text(rows),
         if all_match { "HOLDS" } else { "VIOLATED" }
-    ));
-    s
+    )
 }
 
 /// Static-vs-dynamic agreement report for the named benchmarks (all of
@@ -1161,79 +1009,67 @@ pub fn agreement(results: &[(&'static str, AgreementReport)]) -> String {
 /// The agreement report as JSON (uploaded as a CI artifact; CI fails
 /// the job when any benchmark's `sound` flag is false).
 pub fn agreement_json(results: &[(&'static str, AgreementReport)]) -> String {
-    let mut s = String::from("{\n  \"benchmarks\": [\n");
-    for (i, (name, r)) in results.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": {},\n", json_str(name)));
-        s.push_str(&format!("      \"sound\": {},\n", r.sound()));
-        s.push_str(&format!("      \"pairs\": {},\n", r.pairs));
-        s.push_str(&format!("      \"disjoint\": {},\n", r.disjoint));
-        s.push_str(&format!(
-            "      \"baseline_disjoint\": {},\n",
-            r.baseline_disjoint
-        ));
-        s.push_str(&format!("      \"via_pointsto\": {},\n", r.via_pointsto));
-        s.push_str(&format!(
-            "      \"predicted_serial\": {},\n",
-            r.predicted_serial
-        ));
-        s.push_str(&format!("      \"actual_serial\": {},\n", r.actual_serial));
-        s.push_str(&format!("      \"agree_serial\": {},\n", r.agree_serial));
-        let fmt_opt = |v: Option<f64>| v.map_or("null".to_string(), |x| format!("{x:.4}"));
-        s.push_str(&format!(
-            "      \"precision\": {},\n",
-            fmt_opt(r.precision())
-        ));
-        s.push_str(&format!("      \"recall\": {},\n", fmt_opt(r.recall())));
-        s.push_str(&format!("      \"events\": {},\n", r.events));
-        s.push_str(&format!(
-            "      \"pointsto\": {{\"abstract_objects\": {}, \"variables\": {}, \
-             \"constraint_edges\": {}, \"iterations\": {}, \"wall_nanos\": {}}},\n",
-            r.pointsto.abstract_objects,
-            r.pointsto.variables,
-            r.pointsto.constraint_edges,
-            r.pointsto.iterations,
-            r.pointsto.wall_nanos
-        ));
-        s.push_str("      \"violations\": [");
-        for (j, v) in r.violations.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"loop\": {}, \"load_at\": {}, \"store_at\": {}, \
-                 \"via_pointsto\": {}, \"shared_addr\": {}}}",
-                v.loop_id.0, v.load_at, v.store_at, v.via_pointsto, v.shared_addr
-            ));
-        }
-        s.push_str("],\n");
-        s.push_str("      \"loops\": [");
-        for (j, l) in r.loops.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"id\": {}, \"demoted\": {}, \"dynamic_cross_raw\": {}, \"iters\": {}, \
-                 \"disjoint\": {}, \"via_pointsto\": {}, \"may_alias\": {}, \"guaranteed\": {}}}",
-                l.id.0,
-                l.demoted,
-                l.dynamic_cross_raw,
-                l.iters,
-                l.disjoint,
-                l.via_pointsto,
-                l.may_alias,
-                l.guaranteed
-            ));
-        }
-        s.push_str("]\n");
-        s.push_str(if i + 1 < results.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let fmt_opt = |v: Option<f64>| v.map_or("null".to_string(), |x| format!("{x:.4}"));
+    envelope(results.iter().map(|(name, r)| {
+        let violations: Vec<String> = r
+            .violations
+            .iter()
+            .map(|v| {
+                format!(
+                    "{{\"loop\": {}, \"load_at\": {}, \"store_at\": {}, \
+                     \"via_pointsto\": {}, \"shared_addr\": {}}}",
+                    v.loop_id.0, v.load_at, v.store_at, v.via_pointsto, v.shared_addr
+                )
+            })
+            .collect();
+        let loops: Vec<String> = r
+            .loops
+            .iter()
+            .map(|l| {
+                format!(
+                    "{{\"id\": {}, \"demoted\": {}, \"dynamic_cross_raw\": {}, \"iters\": {}, \
+                     \"disjoint\": {}, \"via_pointsto\": {}, \"may_alias\": {}, \"guaranteed\": {}}}",
+                    l.id.0,
+                    l.demoted,
+                    l.dynamic_cross_raw,
+                    l.iters,
+                    l.disjoint,
+                    l.via_pointsto,
+                    l.may_alias,
+                    l.guaranteed
+                )
+            })
+            .collect();
+        let p = &r.pointsto;
+        format!(
+            "    {{\n      \"name\": {},\n      \"sound\": {},\n      \"pairs\": {},\n      \
+             \"disjoint\": {},\n      \"baseline_disjoint\": {},\n      \"via_pointsto\": {},\n      \
+             \"predicted_serial\": {},\n      \"actual_serial\": {},\n      \"agree_serial\": {},\n      \
+             \"precision\": {},\n      \"recall\": {},\n      \"events\": {},\n      \
+             \"pointsto\": {{\"abstract_objects\": {}, \"variables\": {}, \"constraint_edges\": {}, \
+             \"iterations\": {}, \"wall_nanos\": {}}},\n      \
+             \"violations\": [{}],\n      \"loops\": [{}]\n    }}",
+            quote(name),
+            r.sound(),
+            r.pairs,
+            r.disjoint,
+            r.baseline_disjoint,
+            r.via_pointsto,
+            r.predicted_serial,
+            r.actual_serial,
+            r.agree_serial,
+            fmt_opt(r.precision()),
+            fmt_opt(r.recall()),
+            r.events,
+            p.abstract_objects,
+            p.variables,
+            p.constraint_edges,
+            p.iterations,
+            p.wall_nanos,
+            violations.join(", "),
+            loops.join(", ")
+        )
+    }))
 }
 
 /// The reproduction scorecard: every headline claim of the paper,
@@ -1378,96 +1214,54 @@ pub fn obs(results: &[BenchResult]) -> String {
     s
 }
 
-fn json_str(v: &str) -> String {
-    let mut out = String::with_capacity(v.len() + 2);
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The observability report as a JSON document (hand-built; the
 /// workspace deliberately carries no serialization dependency).
 /// Benchmarks are sorted by name so two runs diff cleanly.
 pub fn obs_json(results: &[BenchResult]) -> String {
-    let ordered = by_name(results);
-    let mut s = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in ordered.iter().enumerate() {
+    envelope(by_name(results).into_iter().map(|r| {
         let o = &r.report.obs;
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": {},\n", json_str(r.bench.name)));
-        s.push_str(&format!(
-            "      \"interpreter_passes\": {},\n",
-            o.interpreter_passes
-        ));
-        s.push_str(&format!(
-            "      \"recorded_events\": {},\n",
-            o.recorded_events
-        ));
-        s.push_str(&format!("      \"batches\": {},\n", o.batches));
-        s.push_str(&format!(
-            "      \"batch_capacity\": {},\n",
-            o.batch_capacity
-        ));
-        s.push_str(&format!(
-            "      \"avg_batch_occupancy\": {:.6},\n",
-            o.avg_batch_occupancy()
-        ));
-        s.push_str(&format!(
-            "      \"events_per_sec\": {:.1},\n",
-            o.events_per_sec()
-        ));
-        s.push_str("      \"stages\": [");
-        for (j, st) in o.stages.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"stage\": {}, \"nanos\": {}}}",
-                json_str(&st.stage),
-                st.nanos
-            ));
-        }
-        s.push_str("],\n");
-        s.push_str("      \"events_by_kind\": {");
+        let stages: Vec<String> = o
+            .stages
+            .iter()
+            .map(|st| format!("{{\"stage\": {}, \"nanos\": {}}}", quote(&st.stage), st.nanos))
+            .collect();
         let mut kinds: Vec<_> = o.by_kind.iter().filter(|&(_, n)| n > 0).collect();
         kinds.sort_by_key(|(kind, _)| kind.name());
-        for (j, (kind, n)) in kinds.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("{}: {n}", json_str(kind.name())));
-        }
-        s.push_str("},\n");
-        s.push_str("      \"sinks\": [");
-        for (j, sink) in o.bus.sinks.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"label\": {}, \"events\": {}, \"batches\": {}, \"drain_nanos\": {}}}",
-                json_str(&sink.label),
-                sink.events,
-                sink.batches,
-                sink.drain_nanos
-            ));
-        }
-        s.push_str("]\n");
-        s.push_str(if i + 1 < ordered.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    s.push_str("  ]\n}\n");
-    s
+        let kinds: Vec<String> = kinds
+            .iter()
+            .map(|(kind, n)| format!("{}: {n}", quote(kind.name())))
+            .collect();
+        let sinks: Vec<String> = o
+            .bus
+            .sinks
+            .iter()
+            .map(|sink| {
+                format!(
+                    "{{\"label\": {}, \"events\": {}, \"batches\": {}, \"drain_nanos\": {}}}",
+                    quote(&sink.label),
+                    sink.events,
+                    sink.batches,
+                    sink.drain_nanos
+                )
+            })
+            .collect();
+        format!(
+            "    {{\n      \"name\": {},\n      \"interpreter_passes\": {},\n      \
+             \"recorded_events\": {},\n      \"batches\": {},\n      \"batch_capacity\": {},\n      \
+             \"avg_batch_occupancy\": {:.6},\n      \"events_per_sec\": {:.1},\n      \
+             \"stages\": [{}],\n      \"events_by_kind\": {{{}}},\n      \"sinks\": [{}]\n    }}",
+            quote(r.bench.name),
+            o.interpreter_passes,
+            o.recorded_events,
+            o.batches,
+            o.batch_capacity,
+            o.avg_batch_occupancy(),
+            o.events_per_sec(),
+            stages.join(", "),
+            kinds.join(", "),
+            sinks.join(", ")
+        )
+    }))
 }
 
 /// Chrome trace-event JSON for every benchmark run — one trace process
@@ -1488,23 +1282,13 @@ pub fn chrome_trace(results: &[BenchResult]) -> String {
 /// document: `{"benchmarks": [{"name": ..., "metrics": {...}}]}`.
 /// This is the raw feed the observability views are computed from.
 pub fn metrics_json(results: &[BenchResult]) -> String {
-    let ordered = by_name(results);
-    let mut s = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in ordered.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": {},\n", json_str(r.bench.name)));
-        s.push_str(&format!(
-            "      \"metrics\": {}\n",
+    envelope(by_name(results).into_iter().map(|r| {
+        format!(
+            "    {{\n      \"name\": {},\n      \"metrics\": {}\n    }}",
+            quote(r.bench.name),
             r.report.telemetry.snapshot().to_json()
-        ));
-        s.push_str(if i + 1 < ordered.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    s.push_str("  ]\n}\n");
-    s
+        )
+    }))
 }
 
 /// The hardware configuration banner printed at the top of reports.
@@ -1616,6 +1400,68 @@ mod tests {
         assert!(v.get("benchmarks").and_then(|b| b.as_arr()).is_some());
     }
 
+    /// A count or flag as the JSON writes it.
+    trait Num {
+        fn num(self) -> f64;
+    }
+
+    impl Num for usize {
+        fn num(self) -> f64 {
+            self as f64
+        }
+    }
+
+    impl Num for u32 {
+        fn num(self) -> f64 {
+            self.into()
+        }
+    }
+
+    impl Num for u64 {
+        fn num(self) -> f64 {
+            self as f64
+        }
+    }
+
+    impl Num for bool {
+        fn num(self) -> f64 {
+            u8::from(self).into()
+        }
+    }
+
+    /// Parses the rows' JSON back: each row object holds `name` and
+    /// every listed struct field under the field's own name, with the
+    /// field's value, and no other key.
+    macro_rules! assert_json_fields {
+        ($rows:expr, [$($field:ident),+ $(,)?]) => {{
+            let rows = $rows;
+            let json = render::json(rows);
+            let v = obs::json::parse(&json).expect("snapshot JSON parses");
+            let benches = v.get("benchmarks").and_then(|b| b.as_arr()).unwrap();
+            assert_eq!(benches.len(), rows.len());
+            for (b, r) in benches.iter().zip(rows) {
+                assert_eq!(b.get("name").and_then(|n| n.as_str()), Some(r.name));
+                $(
+                    let got = b.get(stringify!($field)).and_then(|x| x.as_f64());
+                    assert_eq!(got, Some(r.$field.num()), "{}.{}", r.name, stringify!($field));
+                )+
+                let obs::json::Value::Obj(keys) = b else { panic!("row is an object") };
+                assert_eq!(keys.len(), 1 + [$(stringify!($field)),+].len(), "{keys:?}");
+            }
+        }};
+    }
+
+    /// The text table under the title line: one line per row, each with
+    /// as many cells as the header.
+    fn assert_text_cells(text: &str, rows: usize) {
+        let lines: Vec<&str> = text.lines().skip(1).take(rows + 1).collect();
+        assert_eq!(lines.len(), rows + 1, "{text}");
+        let header = lines[0].split_whitespace().count();
+        for line in &lines[1..] {
+            assert_eq!(line.split_whitespace().count(), header, "{line}");
+        }
+    }
+
     #[test]
     fn prescreen_snapshot_is_monotone_and_parses() {
         let rows = prescreen_rows(DataSize::Small);
@@ -1635,11 +1481,25 @@ mod tests {
                 r.name
             );
         }
-        let json = prescreen_json(&rows);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let v = obs::json::parse(&json).expect("prescreen JSON parses");
-        let benches = v.get("benchmarks").and_then(|b| b.as_arr()).unwrap();
-        assert_eq!(benches.len(), rows.len());
+        assert_json_fields!(
+            &rows,
+            [
+                loops,
+                candidates,
+                demoted,
+                pairs,
+                baseline_disjoint,
+                disjoint,
+                via_pointsto,
+                abstract_objects
+            ]
+        );
+        let text = prescreen(&rows);
+        assert_text_cells(&text, rows.len());
+        // the text-only `traced` column is candidates minus demoted
+        let first = text.lines().nth(2).unwrap();
+        let traced = rows[0].candidates - rows[0].demoted;
+        assert_eq!(first.split_whitespace().nth(3), Some(&*traced.to_string()));
     }
 
     #[test]
@@ -1670,11 +1530,20 @@ mod tests {
             total_gain >= 1,
             "no previously-demoted loop became a selected STL: {rows:?}"
         );
-        let json = rescue_json(&rows);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let v = obs::json::parse(&json).expect("rescue JSON parses");
-        let benches = v.get("benchmarks").and_then(|b| b.as_arr()).unwrap();
-        assert_eq!(benches.len(), rows.len());
+        assert_json_fields!(
+            &rows,
+            [
+                demoted_before,
+                demoted_after,
+                rescued,
+                reductions,
+                privatizations,
+                distributions,
+                rejected,
+                selected_gain
+            ]
+        );
+        assert_text_cells(&rescue(&rows), rows.len());
     }
 
     #[test]
@@ -1699,12 +1568,64 @@ mod tests {
                 r.name
             );
         }
-        let json = tier_json(&rows);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let v = obs::json::parse(&json).expect("tier JSON parses");
-        let benches = v.get("benchmarks").and_then(|b| b.as_arr()).unwrap();
-        assert_eq!(benches.len(), rows.len());
-        let text = tier(DataSize::Small);
+        assert_json_fields!(
+            &rows,
+            [
+                candidates,
+                epochs,
+                counting_epochs,
+                generations,
+                selected,
+                demoted_static,
+                demoted_dynamic,
+                revisions,
+                flips,
+                diags,
+                terminal,
+                matches_offline
+            ]
+        );
+        let text = tier(&rows);
+        assert_text_cells(&text, rows.len());
+        assert!(text.contains("HOLDS"), "{text}");
+    }
+
+    #[test]
+    fn scev_snapshot_is_sound_and_parses() {
+        let rows = scev_rows(DataSize::Small);
+        assert!(!rows.is_empty());
+        for r in &rows {
+            assert!(
+                r.sound && r.slice_violations == 0 && r.distance_violations == 0,
+                "{}: the value-agreement replay refuted a claim",
+                r.name
+            );
+            assert!(
+                r.disjoint >= r.prescreen_disjoint,
+                "{}: evolutions lost pairs",
+                r.name
+            );
+        }
+        assert_json_fields!(
+            &rows,
+            [
+                pairs,
+                prescreen_disjoint,
+                disjoint,
+                distance_pairs,
+                floored_loops,
+                closed_forms,
+                slices,
+                slices_rejected,
+                slice_checks,
+                slice_violations,
+                distance_checks,
+                distance_violations,
+                sound
+            ]
+        );
+        let text = scev_table(&rows);
+        assert_text_cells(&text, rows.len());
         assert!(text.contains("HOLDS"), "{text}");
     }
 
